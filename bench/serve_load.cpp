@@ -227,7 +227,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(c1.pad_rows),
       static_cast<unsigned long long>(c1.ticks));
   points.push_back({"closed_loop", 1.0, batched_rps, 0, 0, shared_batches});
-  table.add_row({"1", util::format_double(batched_rps, 1),
+  table.add_row({"1", util::format_fixed(batched_rps, 1),
                  util::format_double(batched_rps / serial_rps, 3),
                  std::to_string(c1.shared_batches),
                  std::to_string(c1.batched_rows)});
@@ -237,7 +237,7 @@ int main(int argc, char** argv) {
     const double rps = run_server(workers, &c, &p50, &p99);
     points.push_back({"closed_loop", static_cast<double>(workers), rps, p50,
                       p99, c.shared_batches});
-    table.add_row({std::to_string(workers), util::format_double(rps, 1),
+    table.add_row({std::to_string(workers), util::format_fixed(rps, 1),
                    util::format_double(rps / serial_rps, 3),
                    std::to_string(c.shared_batches),
                    std::to_string(c.batched_rows)});
@@ -268,7 +268,7 @@ int main(int argc, char** argv) {
       }
       points.push_back({"open_loop", frac, rate, p50, p99,
                         server.stats().counters().shared_batches});
-      lt.add_row({util::format_double(frac, 2), util::format_double(rate, 1),
+      lt.add_row({util::format_double(frac, 2), util::format_fixed(rate, 1),
                   util::format_double(p50, 2), util::format_double(p99, 2),
                   std::to_string(server.stats().counters().deadline_misses)});
     }
@@ -309,7 +309,8 @@ int main(int argc, char** argv) {
   const mosaic::InferCacheStats ic = mosaic::infer_cache_stats();
   std::printf(
       "\nBENCH_JSON {\"bench\":\"serve_load\",\"requests\":%lld,"
-      "\"tenants\":%zu,\"inflight\":%d,\"threads\":%d,\"openmp\":%s,"
+      "\"tenants\":%zu,\"inflight\":%d,\"omp_threads\":%d,\"workers\":%d,"
+      "\"openmp\":%s,"
       "\"smoke\":%s,\"req_per_sec\":%.6g,\"serial_req_per_sec\":%.6g,"
       "\"serial_batched_req_per_sec\":%.6g,"
       "\"speedup_vs_serial\":%.4g,\"speedup_vs_serial_batched\":%.4g,"
@@ -321,7 +322,7 @@ int main(int argc, char** argv) {
       "\"cache_misses\":%llu,\"cache_captures\":%llu,"
       "\"cache_evictions\":%llu,\"cache_retired\":%llu}\n",
       static_cast<long long>(n_requests), zoo.size(), max_inflight,
-      ad::kernels::max_threads(),
+      ad::kernels::max_threads(), max_workers,
       ad::kernels::openmp_enabled() ? "true" : "false",
       smoke ? "true" : "false", batched_rps, serial_rps, serial_batched_rps,
       batched_rps / serial_rps, batched_rps / serial_batched_rps, p50_ms,

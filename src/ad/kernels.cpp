@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <stdexcept>
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define MF_HAVE_AVX2_KERNELS 1
@@ -66,6 +67,9 @@ bool should_thread(int64_t work) {
 BroadcastPlan::BroadcastPlan(const Shape& out, const Shape& a, const Shape& b)
     : out_shape(out) {
   const std::size_t nd = out.size();
+  if (nd > static_cast<std::size_t>(kMaxRank)) {
+    throw std::invalid_argument("BroadcastPlan: rank > 8 unsupported");
+  }
   a_strides.assign(nd, 0);
   b_strides.assign(nd, 0);
   const auto sa = strides_of(a);
@@ -414,21 +418,33 @@ static bool cpu_has_fma() {
   return has;
 }
 
+static bool cpu_has_avx512f() {
+  static const bool has = __builtin_cpu_supports("avx512f");
+  return has;
+}
+
 // ---- FMA matmul micro-kernels ----
 //
 // Same tiling as the no-FMA kernels above but with fused multiply-add:
 // one vfmadd231pd where the exact path issues mulpd + addpd, roughly
 // doubling arithmetic throughput on the port-bound width-64 GEMMs of
-// SDNet inference. The fused rounding changes the last bits relative to
-// the scalar loop (it is, if anything, more accurate), so this tier is
-// hatch-controlled: MF_DISABLE_FMA_KERNELS=1 (or fma_kernels_set_enabled)
-// restores the bitwise-exact kernels. The zero-skip of the exact path is
-// dropped — it exists to mirror the scalar loop branch-for-branch, which
-// this tier does not promise.
+// SDNet inference. Every output element is the chain
+// `acc = std::fma(a[i][kk], b[kk][j], acc)` from the bias (or 0) in
+// ascending kk, whichever tile or tail computes it, so all FMA tiles agree
+// bitwise with each other and with that scalar chain. The fused rounding
+// changes the last bits relative to the exact mulpd/addpd tier, so this
+// tier is hatch-controlled: MF_DISABLE_FMA_KERNELS=1 (or
+// fma_kernels_set_enabled) restores the bitwise-exact kernels. The
+// zero-skip of the exact path is dropped — it exists to mirror the scalar
+// loop branch-for-branch, which this tier does not promise.
+//
+// Columns [j_begin, n) of four rows: the 8-row AVX-512 tile below hands
+// its column remainder (n % 16) to this tile.
 __attribute__((target("avx2,fma"))) static void matmul_rows4_fma(
     const real* a0, const real* a1, const real* a2, const real* a3,
-    const real* b, const real* bias, real* orow0, int64_t k, int64_t n) {
-  int64_t j0 = 0;
+    const real* b, const real* bias, real* orow0, int64_t k, int64_t n,
+    int64_t j_begin) {
+  int64_t j0 = j_begin;
   for (; j0 + 8 <= n; j0 += 8) {
     __m256d acc0a, acc0b, acc1a, acc1b, acc2a, acc2b, acc3a, acc3b;
     if (bias) {
@@ -500,6 +516,44 @@ __attribute__((target("avx2,fma"))) static void matmul_rows4_fma(
     }
     for (int64_t r = 0; r < 4; ++r)
       for (int64_t j = 0; j < jw; ++j) orow0[r * n + j0 + j] = acc[r][j];
+  }
+}
+
+/// 8 rows x 16 columns per tile on AVX-512: 16 zmm accumulators (two per
+/// row) share each pair of b loads, twice the rows and the vector width of
+/// the AVX2 4x8 tile. Covers columns [0, n & ~15); each lane runs the same
+/// ascending-kk fma chain from the bias as every other FMA tile.
+__attribute__((target("avx512f"))) static void matmul_rows8_avx512(
+    const real* a, const real* b, const real* bias, real* orow0, int64_t k,
+    int64_t n) {
+  constexpr int kRows = 8;
+  const int64_t n16 = n & ~int64_t{15};
+  for (int64_t j0 = 0; j0 < n16; j0 += 16) {
+    __m512d lo[kRows], hi[kRows];
+    const __m512d blo = bias ? _mm512_loadu_pd(bias + j0) : _mm512_setzero_pd();
+    const __m512d bhi =
+        bias ? _mm512_loadu_pd(bias + j0 + 8) : _mm512_setzero_pd();
+#pragma GCC unroll 8
+    for (int r = 0; r < kRows; ++r) {
+      lo[r] = blo;
+      hi[r] = bhi;
+    }
+    const real* brow = b + j0;
+    for (int64_t kk = 0; kk < k; ++kk, brow += n) {
+      const __m512d bv0 = _mm512_loadu_pd(brow);
+      const __m512d bv1 = _mm512_loadu_pd(brow + 8);
+#pragma GCC unroll 8
+      for (int r = 0; r < kRows; ++r) {
+        const __m512d av = _mm512_set1_pd(a[r * k + kk]);
+        lo[r] = _mm512_fmadd_pd(av, bv0, lo[r]);
+        hi[r] = _mm512_fmadd_pd(av, bv1, hi[r]);
+      }
+    }
+#pragma GCC unroll 8
+    for (int r = 0; r < kRows; ++r) {
+      _mm512_storeu_pd(orow0 + r * n + j0, lo[r]);
+      _mm512_storeu_pd(orow0 + r * n + j0 + 8, hi[r]);
+    }
   }
 }
 
@@ -799,12 +853,13 @@ void map_binary(const float* a, const float* b, float* out, int64_t n,
 //
 // Cephes-style double-precision tanh (rational minimax on |x| < 0.625,
 // exp-based elsewhere, saturated past 19.0625). The scalar remainder
-// routine below replicates the vector lane operation-for-operation —
+// routines below replicate the vector lanes operation-for-operation —
 // same polynomial order, same round-to-nearest for the exp exponent,
-// same exact 2^n scaling, no FMA on either side (the build never enables
-// contraction) — so a given input produces the same bits regardless of
-// whether a 4-lane group or the tail computed it. That property is what
-// keeps threaded/serial and eager/replay comparisons bitwise stable.
+// same exact 2^n scaling, std::fma exactly where a lane fuses (the build
+// passes -ffp-contract=off, so the compiler fuses nothing else) — so a
+// given input produces the same bits regardless of whether a vector lane
+// or the tail computed it. That property is what keeps threaded/serial
+// and eager/replay comparisons bitwise stable.
 
 namespace {
 
@@ -861,9 +916,43 @@ inline double fast_tanh_scalar(double x) {
   return std::copysign(large, x);
 }
 
+// ---- one-division gelu (f64) ----
+//
+// gelu(x) = 0.5 x (1 + tanh u) = x / (1 + exp(-2u)), u = sqrt(2/pi)(x +
+// 0.044715 x^3). The second form needs one division and no 1 + tanh u,
+// which cancels for negative u. exp(t): t clamped to +-708, Cody-Waite
+// reduction t = n ln2 + r with |r| <= ln2/2 (kLn2Hi has 32 significant
+// bits, so n * kLn2Hi is exact for |n| <= 1022), a degree-12 Taylor
+// polynomial in explicit FMAs, and 2^n built in the exponent field
+// (n + 1023 stays in [1, 2045]). Where -2u exceeds the clamp (x below
+// about -21.2) the exact value is under 1e-306 and the result is a zero
+// with the sign of x. The lanes need AVX2 and FMA; the scalar tail below
+// repeats them op for op with std::fma.
+constexpr double kGeluMinus2Coeff = -2.0 * sfn::kGeluCoeff;  // exact
+constexpr double kGeluExpMax = 708.0;
+constexpr double kLn2Hi = 6.93147180369123816490e-01;
+constexpr double kLn2Lo = 1.90821492927058770002e-10;
+// 1/k! for k = 12 down to 0, in Horner order.
+constexpr double kExpTaylor[] = {
+    1.0 / 479001600.0, 1.0 / 39916800.0, 1.0 / 3628800.0, 1.0 / 362880.0,
+    1.0 / 40320.0,     1.0 / 5040.0,     1.0 / 720.0,     1.0 / 120.0,
+    1.0 / 24.0,        1.0 / 6.0,        0.5,             1.0,
+    1.0};
+constexpr int kExpTaylorTerms = sizeof(kExpTaylor) / sizeof(kExpTaylor[0]);
+
 inline double fast_gelu_scalar(double x) {
-  const double u = sfn::kGeluCoeff * (x + 0.044715 * x * x * x);
-  return 0.5 * x * (1.0 + fast_tanh_scalar(u));
+  const double t2u = kGeluMinus2Coeff * (x + 0.044715 * x * x * x);  // -2u
+  if (t2u > kGeluExpMax) return std::copysign(0.0, x);
+  double t = t2u < kGeluExpMax ? t2u : kGeluExpMax;  // _mm256_min_pd(t, max)
+  t = t > -kGeluExpMax ? t : -kGeluExpMax;           // _mm256_max_pd(t, -max)
+  const double n = std::nearbyint(t * kLog2E);
+  double r = std::fma(-n, kLn2Hi, t);
+  r = std::fma(-n, kLn2Lo, r);
+  double p = kExpTaylor[0];
+#pragma GCC unroll 16
+  for (int i = 1; i < kExpTaylorTerms; ++i) p = std::fma(p, r, kExpTaylor[i]);
+  const double e = p * std::ldexp(1.0, static_cast<int>(n));
+  return x / (1.0 + e);
 }
 
 // ---- float twins ----
@@ -979,6 +1068,14 @@ bool fast_tanh_active() {
 #endif
 }
 
+bool fast_gelu_active() {
+#ifdef MF_HAVE_AVX2_KERNELS
+  return fast_tanh_active() && cpu_has_fma();
+#else
+  return false;
+#endif
+}
+
 #ifdef MF_HAVE_AVX2_KERNELS
 __attribute__((target("avx2"))) static inline __m256d fast_exp_pd(__m256d x) {
   const __m256d n = _mm256_round_pd(
@@ -1050,14 +1147,33 @@ __attribute__((target("avx2"))) static inline __m256d fast_tanh_pd(__m256d x) {
   return _mm256_blendv_pd(large, small, small_mask);
 }
 
-__attribute__((target("avx2"))) static inline __m256d fast_gelu_pd(__m256d x) {
+/// One-division gelu lanes; fast_gelu_scalar is their op-for-op twin.
+__attribute__((target("avx2,fma"))) static inline __m256d fast_gelu_pd(
+    __m256d x) {
   const __m256d x3 = _mm256_mul_pd(
       _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(0.044715), x), x), x);
-  const __m256d u =
-      _mm256_mul_pd(_mm256_set1_pd(sfn::kGeluCoeff), _mm256_add_pd(x, x3));
-  const __m256d t = fast_tanh_pd(u);
-  return _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(0.5), x),
-                       _mm256_add_pd(_mm256_set1_pd(1.0), t));
+  const __m256d t2u =
+      _mm256_mul_pd(_mm256_set1_pd(kGeluMinus2Coeff), _mm256_add_pd(x, x3));
+  const __m256d underflow =
+      _mm256_cmp_pd(t2u, _mm256_set1_pd(kGeluExpMax), _CMP_GT_OQ);
+  __m256d t = _mm256_min_pd(t2u, _mm256_set1_pd(kGeluExpMax));
+  t = _mm256_max_pd(t, _mm256_set1_pd(-kGeluExpMax));
+  const __m256d n =
+      _mm256_round_pd(_mm256_mul_pd(t, _mm256_set1_pd(kLog2E)),
+                      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  __m256d r = _mm256_fnmadd_pd(n, _mm256_set1_pd(kLn2Hi), t);
+  r = _mm256_fnmadd_pd(n, _mm256_set1_pd(kLn2Lo), r);
+  __m256d p = _mm256_set1_pd(kExpTaylor[0]);
+#pragma GCC unroll 16
+  for (int i = 1; i < kExpTaylorTerms; ++i)
+    p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(kExpTaylor[i]));
+  const __m256i ni = _mm256_cvtepi32_epi64(_mm256_cvtpd_epi32(n));
+  const __m256i bits =
+      _mm256_slli_epi64(_mm256_add_epi64(ni, _mm256_set1_epi64x(1023)), 52);
+  const __m256d e = _mm256_mul_pd(p, _mm256_castsi256_pd(bits));
+  const __m256d y = _mm256_div_pd(x, _mm256_add_pd(_mm256_set1_pd(1.0), e));
+  const __m256d signed_zero = _mm256_and_pd(x, _mm256_set1_pd(-0.0));
+  return _mm256_blendv_pd(y, signed_zero, underflow);
 }
 
 __attribute__((target("avx2"))) static void tanh_block_avx2(const real* a,
@@ -1069,10 +1185,17 @@ __attribute__((target("avx2"))) static void tanh_block_avx2(const real* a,
   for (; i < n; ++i) out[i] = fast_tanh_scalar(a[i]);
 }
 
-__attribute__((target("avx2"))) static void gelu_block_avx2(const real* a,
-                                                            real* out,
-                                                            int64_t n) {
+__attribute__((target("avx2,fma"))) static void gelu_block_fma(const real* a,
+                                                               real* out,
+                                                               int64_t n) {
   int64_t i = 0;
+  // Two independent vectors per step overlap their exp Horner chains.
+  for (; i + 8 <= n; i += 8) {
+    const __m256d y0 = fast_gelu_pd(_mm256_loadu_pd(a + i));
+    const __m256d y1 = fast_gelu_pd(_mm256_loadu_pd(a + i + 4));
+    _mm256_storeu_pd(out + i, y0);
+    _mm256_storeu_pd(out + i + 4, y1);
+  }
   for (; i + 4 <= n; i += 4)
     _mm256_storeu_pd(out + i, fast_gelu_pd(_mm256_loadu_pd(a + i)));
   for (; i < n; ++i) out[i] = fast_gelu_scalar(a[i]);
@@ -1196,9 +1319,9 @@ void map_unary(const real* a, real* out, int64_t n, sfn::Tanh) {
 
 void map_unary(const real* a, real* out, int64_t n, sfn::Gelu) {
 #ifdef MF_HAVE_AVX2_KERNELS
-  if (fast_tanh_active()) {
+  if (fast_gelu_active()) {
     parallel_for(n, [&](int64_t begin, int64_t end) {
-      gelu_block_avx2(a + begin, out + begin, end - begin);
+      gelu_block_fma(a + begin, out + begin, end - begin);
     });
     return;
   }
@@ -1220,8 +1343,8 @@ void tanh_block_inplace(real* x, int64_t n) {
 
 void gelu_block_inplace(real* x, int64_t n) {
 #ifdef MF_HAVE_AVX2_KERNELS
-  if (fast_tanh_active()) {
-    gelu_block_avx2(x, x, n);
+  if (fast_gelu_active()) {
+    gelu_block_fma(x, x, n);
     return;
   }
 #endif
@@ -1290,6 +1413,9 @@ void matmul(const real* a, const real* b, const real* bias, real* out,
 #ifdef MF_HAVE_AVX2_KERNELS
   const bool use_avx2 = cpu_has_avx2();
   const bool use_fma = fma_kernels_active();
+  // The 8x16 AVX-512 tile takes 8-row blocks when the matrix has at least
+  // one whole 16-column strip; the AVX2 tiles take the rest.
+  const bool use_avx512 = use_fma && cpu_has_avx512f() && n >= 16;
 #endif
   parallel_for(m, k * n, [&](int64_t begin, int64_t end) {
     if (b_fits_one_tile) {
@@ -1297,9 +1423,21 @@ void matmul(const real* a, const real* b, const real* bias, real* out,
       if (use_avx2) {
         int64_t i0 = begin;
         if (use_fma) {
+          if (use_avx512) {
+            const int64_t n16 = n & ~int64_t{15};
+            for (; i0 + 8 <= end; i0 += 8) {
+              matmul_rows8_avx512(a + i0 * k, b, bias, out + i0 * n, k, n);
+              if (n16 == n) continue;
+              for (int64_t r = 0; r < 8; r += 4) {
+                const real* ar = a + (i0 + r) * k;
+                matmul_rows4_fma(ar, ar + k, ar + 2 * k, ar + 3 * k, b, bias,
+                                 out + (i0 + r) * n, k, n, n16);
+              }
+            }
+          }
           for (; i0 + 4 <= end; i0 += 4) {
             matmul_rows4_fma(a + i0 * k, a + (i0 + 1) * k, a + (i0 + 2) * k,
-                             a + (i0 + 3) * k, b, bias, out + i0 * n, k, n);
+                             a + (i0 + 3) * k, b, bias, out + i0 * n, k, n, 0);
           }
           for (; i0 < end; ++i0) {
             matmul_rows1_fma(a + i0 * k, b, bias, out + i0 * n, k, n);

@@ -137,23 +137,36 @@ void map_binary(const float* a, const float* b, float* out, int64_t n,
 
 // ---- fast tanh / gelu ----
 //
-// tanh dominates SDNet inference (every hidden activation is a GELU whose
-// cost is one libm tanh, ~27 cycles/element); these overloads replace it
-// with a Cephes-style rational approximation — 4 AVX2 lanes in flight,
-// accurate to ~1-2 ulp of std::tanh. The vector lanes and the scalar
-// remainder evaluate the identical operation sequence, so the value of an
-// element never depends on which chunk or lane computed it: threaded
-// execution stays bitwise identical to serial, and eager ops and program
-// replay (including fused chains, which route through the *_block_inplace
-// entry points) stay bitwise identical to each other. Absolute values
-// differ from libm in the last bits; MF_DISABLE_FAST_TANH=1 (or the
-// setter) restores bit-exact std::tanh everywhere.
+// Hidden activations are GELUs, and libm tanh costs ~27 cycles/element.
+// These overloads replace it (MF_DISABLE_FAST_TANH=1, or the setter,
+// restores the sfn:: functors with std::tanh everywhere):
+//  * tanh, and the f32 gelu 0.5 x (1 + tanh u): a Cephes-style rational
+//    approximation, 4 AVX2 pd or 8 ps lanes, within ~1-2 ulp of std::tanh.
+//  * f64 gelu: x / (1 + exp(-2u)), u = sqrt(2/pi)(x + 0.044715 x^3), with
+//    one division per element and no cancelling 1 + tanh u. exp uses
+//    Cody-Waite reduction, a Horner polynomial in explicit FMAs and an
+//    exponent-field scale, its argument clamped to +-708. Over [-40, 40]
+//    the relative error against a long-double evaluation at the same
+//    double u is below 4e-16 (the former 0.5 x (1 + tanh u) lanes lost
+//    every digit near x = -7 and returned 0 below it). Past x ~ -21.2,
+//    where exp's argument exceeds the clamp and the exact value is below
+//    1e-306, the result is a zero with the sign of x. The lanes need AVX2
+//    and FMA.
+// In every case the scalar remainder repeats the lane operations one for
+// one (std::fma where a lane uses vfmadd; the build has -ffp-contract=off,
+// so nothing else is fused), so an element's value never depends on which
+// chunk or lane computed it: threaded execution stays bitwise identical to
+// serial, and eager ops and program replay (including fused chains, which
+// route through the *_block_inplace entry points) stay bitwise identical
+// to each other.
 /// Env-derived default: false when MF_DISABLE_FAST_TANH=1.
 bool fast_tanh_enabled();
 /// Override the env default (tests / benches). Returns previous value.
 bool fast_tanh_set_enabled(bool on);
 /// True when the fast path actually runs: enabled and the CPU has AVX2.
 bool fast_tanh_active();
+/// True when the f64 gelu lanes run: fast_tanh_active() and the CPU has FMA.
+bool fast_gelu_active();
 void map_unary(const real* a, real* out, int64_t n, sfn::Tanh);
 void map_unary(const real* a, real* out, int64_t n, sfn::Gelu);
 void map_unary(const float* a, float* out, int64_t n, sfn::Tanh);
@@ -172,9 +185,17 @@ void gelu_block_inplace(float* x, int64_t n);
 // ---- FMA matmul tier ----
 //
 // When the CPU has FMA, matmul dispatches to fused-multiply-add
-// micro-kernels (~2x arithmetic throughput on the width-64 GEMMs). Fused
-// rounding shifts the last bits relative to the exact mulpd/addpd tier,
-// so it is hatch-controlled: MF_DISABLE_FMA_KERNELS=1 (or the setter)
+// micro-kernels (~2x arithmetic throughput on the width-64 GEMMs). Each
+// output element is then the chain acc = std::fma(a[i][kk], b[kk][j], acc)
+// from the bias (or 0) in ascending kk — bitwise equal to that scalar
+// chain whichever tile computes it:
+//  * with AVX-512F and n >= 16, 8-row blocks run an 8x16 AVX-512 tile on
+//    every whole 16-column strip, and the AVX2 tiles take the n % 16
+//    column remainder;
+//  * the AVX2 4x8 / 4-wide tiles and std::fma tails take the remaining
+//    rows, and every row on hosts without AVX-512.
+// Fused rounding shifts the last bits relative to the exact mulpd/addpd
+// tier, so it is hatch-controlled: MF_DISABLE_FMA_KERNELS=1 (or the setter)
 // restores kernels that are bitwise identical to the naive scalar loop.
 // Either way eager, replay, serial and threaded execution all share one
 // kernel, so intra-process parity invariants are unaffected.
@@ -185,8 +206,12 @@ bool fma_kernels_active();
 // ---- broadcast elementwise ----
 
 /// Precomputed output-dim strides mapping each output element to the flat
-/// offsets of two broadcast operands (stride 0 on broadcast axes).
+/// offsets of two broadcast operands (stride 0 on broadcast axes). The
+/// operands are contiguous, so the last-dim stride is 1, or 0 on a
+/// broadcast last axis. Throws std::invalid_argument above kMaxRank dims.
 struct BroadcastPlan {
+  static constexpr int64_t kMaxRank = 8;  // SmallShape::kMaxRank
+
   BroadcastPlan(const Shape& out, const Shape& a, const Shape& b);
 
   Shape out_shape;
@@ -194,26 +219,51 @@ struct BroadcastPlan {
   int64_t n = 0;
 };
 
-/// out[i] = f(a[ai], b[bi]) over the whole broadcast output. Each thread
-/// seeds its multi-index from its chunk start, then walks incrementally.
+/// out[i] = f(a[ai], b[bi]) over the whole broadcast output, one output
+/// row of the last dimension at a time. The last dimension of a contiguous
+/// operand has stride 1, or 0 when it is broadcast, so a row reads a
+/// contiguous run or one repeated element of each operand — e.g. the split
+/// embedding's [B,1,d] + [B,q,d]. Threads split whole rows; each seeds the
+/// multi-index of the outer dims once and steps it once per row, with no
+/// allocation. f is applied to each element once, so the partition never
+/// changes a value.
 template <typename T, typename F>
 void map_broadcast(const BroadcastPlan& plan, const T* a, const T* b,
                    T* out, F&& f) {
-  parallel_for(plan.n, [&](int64_t begin, int64_t end) {
-    const int64_t nd = static_cast<int64_t>(plan.out_shape.size());
-    std::vector<int64_t> idx(static_cast<std::size_t>(nd), 0);
+  if (plan.n == 0) return;
+  const int64_t nd = static_cast<int64_t>(plan.out_shape.size());
+  if (nd == 0) {
+    out[0] = f(a[0], b[0]);
+    return;
+  }
+  const int64_t len = plan.out_shape.back();
+  const bool a_run = plan.a_strides.back() != 0;
+  const bool b_run = plan.b_strides.back() != 0;
+  parallel_for(plan.n / len, len, [&](int64_t begin, int64_t end) {
+    int64_t idx[BroadcastPlan::kMaxRank] = {};
     int64_t ai = 0, bi = 0;
     int64_t rem = begin;
-    for (int64_t d = nd - 1; d >= 0; --d) {
+    for (int64_t d = nd - 2; d >= 0; --d) {
       const auto du = static_cast<std::size_t>(d);
       idx[du] = rem % plan.out_shape[du];
       rem /= plan.out_shape[du];
       ai += idx[du] * plan.a_strides[du];
       bi += idx[du] * plan.b_strides[du];
     }
-    for (int64_t i = begin; i < end; ++i) {
-      out[i] = f(a[ai], b[bi]);
-      for (int64_t d = nd - 1; d >= 0; --d) {
+    for (int64_t row = begin; row < end; ++row) {
+      const T* ar = a + ai;
+      const T* br = b + bi;
+      T* orow = out + row * len;
+      if (a_run && b_run) {
+        for (int64_t j = 0; j < len; ++j) orow[j] = f(ar[j], br[j]);
+      } else if (a_run) {
+        for (int64_t j = 0; j < len; ++j) orow[j] = f(ar[j], br[0]);
+      } else if (b_run) {
+        for (int64_t j = 0; j < len; ++j) orow[j] = f(ar[0], br[j]);
+      } else {
+        for (int64_t j = 0; j < len; ++j) orow[j] = f(ar[0], br[0]);
+      }
+      for (int64_t d = nd - 2; d >= 0; --d) {
         const auto du = static_cast<std::size_t>(d);
         idx[du]++;
         ai += plan.a_strides[du];

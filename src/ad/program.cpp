@@ -977,7 +977,12 @@ void lower(Program::Impl& im) {
   // Release the graph first: tape nodes hold input Tensors, so slot use
   // counts are only meaningful once every node is gone (this is also what
   // lets the tape arena rewind — the program owns buffers, not history).
-  for (auto& sp : im.slots) sp->grad_fn.reset();
+  // Only a set grad_fn is reset: resetting an empty shared_ptr still
+  // writes it, and parameter slots are shared by every serve worker that
+  // captures concurrently.
+  for (auto& sp : im.slots) {
+    if (sp->grad_fn) sp->grad_fn.reset();
+  }
 
   Ranges r;
   compute_ranges(im, r);

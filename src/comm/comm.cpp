@@ -37,7 +37,7 @@ CommStats::Entry& Comm::stats_entry(int tag) {
 void Comm::record(CommStats::Entry& e, std::size_t bytes, double wall_seconds) {
   e.messages += 1;
   e.bytes += bytes;
-  e.modeled_seconds += model_.time(bytes);
+  e.modeled_seconds = model_.time(e.messages, e.bytes);
   e.wall_seconds += wall_seconds;
 }
 

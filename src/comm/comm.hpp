@@ -27,6 +27,13 @@ struct AlphaBetaModel {
   double time(std::size_t bytes) const {
     return alpha + static_cast<double>(bytes) / beta;
   }
+  /// Modeled time of `messages` messages carrying `bytes` in total. Stats
+  /// derive it from their exact integer totals, so it does not depend on
+  /// the order in which messages complete.
+  double time(std::uint64_t messages, std::uint64_t bytes) const {
+    return static_cast<double>(messages) * alpha +
+           static_cast<double>(bytes) / beta;
+  }
 
   /// Presets mirroring Table 2 of the paper.
   static AlphaBetaModel infiniband_100g() { return {2e-6, 12.5e9}; }

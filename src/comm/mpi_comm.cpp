@@ -116,9 +116,8 @@ void MpiComm::record_collective(CommStats::Entry& e, int messages,
                                 std::size_t bytes, double wall_seconds) {
   e.messages += static_cast<std::uint64_t>(messages);
   e.bytes += bytes;
-  // Model each round as one alpha plus its share of the bytes.
-  e.modeled_seconds += messages * model_.alpha +
-                       static_cast<double>(bytes) / model_.beta;
+  // Each round costs one alpha plus its share of the bytes.
+  e.modeled_seconds = model_.time(e.messages, e.bytes);
   e.wall_seconds += wall_seconds;
 }
 

@@ -52,4 +52,10 @@ std::string format_double(double v, int precision) {
   return buf;
 }
 
+std::string format_fixed(double v, int decimals) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
+  return buf;
+}
+
 }  // namespace mf::util

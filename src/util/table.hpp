@@ -27,4 +27,7 @@ class Table {
 /// Format a double compactly ("1.23e-05", "42.7", ...).
 std::string format_double(double v, int precision = 4);
 
+/// Format a double with a fixed number of decimals ("1234.5").
+std::string format_fixed(double v, int decimals);
+
 }  // namespace mf::util

@@ -130,5 +130,7 @@ INSTANTIATE_TEST_SUITE_P(
         ShapePair{"split_layer_pattern", {2, 1, 5}, {2, 7, 5}},
         ShapePair{"leading_ones", {1, 1, 3}, {2, 4, 3}},
         ShapePair{"rank_mismatch_3v1", {2, 3, 4}, {4}},
-        ShapePair{"rank_mismatch_3v2", {2, 3, 4}, {3, 1}}),
+        ShapePair{"rank_mismatch_3v2", {2, 3, 4}, {3, 1}},
+        ShapePair{"both_last_axis_one", {2, 3, 1}, {3, 1}},
+        ShapePair{"rank4_mixed", {2, 1, 3, 4}, {5, 1, 1}}),
     [](const auto& info) { return info.param.name; });

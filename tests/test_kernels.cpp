@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "ad/gradcheck.hpp"
@@ -188,7 +189,7 @@ TEST(Kernels, MatmulBlockedPathMatchesNaive) {
   // kTileN = 512) so the blocked path and its partial edge tiles are
   // actually exercised; the claim under test is bitwise identity with
   // the naive i-k-j loop.
-  const std::array<std::array<int64_t, 3>, 9> shapes = {{
+  const std::array<std::array<int64_t, 3>, 14> shapes = {{
       {3, 65, 513},   // both dims one past a tile boundary
       {4, 64, 512},   // exactly one tile (fast path)
       {2, 130, 40},   // k crosses tiles, n within one
@@ -201,6 +202,12 @@ TEST(Kernels, MatmulBlockedPathMatchesNaive) {
       {4, 64, 9},     // one 8-strip + 1-column scalar tail
       {6, 17, 12},    // 8-strip + 4-strip columns, 2 remainder rows
       {7, 5, 7},      // 4-strip + 3-column tail, 3 remainder rows
+      // Edges of the 8x16 AVX-512 tile (when the host has AVX-512F).
+      {16, 64, 64},   // two whole 8-row tiles, four 16-column strips
+      {13, 64, 64},   // 8-row tile + 4-row tile + 1 remainder row
+      {8, 64, 24},    // one 16-column strip + an 8-wide AVX2 strip
+      {5, 64, 1},     // n < 16: AVX2 tiles and scalar tail only
+      {12, 2, 64},    // k = 2: the shortest fma chains
   }};
   for (const auto& [m, k, n] : shapes) {
     std::vector<mf::ad::real> a(static_cast<std::size_t>(m * k));
@@ -229,20 +236,35 @@ TEST(Kernels, MatmulBlockedPathMatchesNaive) {
       ASSERT_EQ(got[i], ref[i]) << "m=" << m << " k=" << k << " n=" << n
                                 << " flat index " << i;
     }
-    // FMA tier (when the host has it): fused rounding only — every
-    // element stays within a tight relative band of the exact result.
+    // FMA tier (when the host has it): every tile and tail computes each
+    // element as one std::fma chain from the bias in ascending kk, so the
+    // result is bitwise equal to that scalar chain.
     kernels::fma_kernels_set_enabled(true);
     if (kernels::fma_kernels_active()) {
       std::vector<mf::ad::real> fma_got(static_cast<std::size_t>(m * n));
       kernels::matmul(a.data(), b.data(), bias.data(), fma_got.data(), m, k, n);
-      for (std::size_t i = 0; i < fma_got.size(); ++i) {
-        const double tol = 1e-13 * std::max(1.0, std::abs(ref[i]));
-        ASSERT_NEAR(fma_got[i], ref[i], tol)
-            << "fma: m=" << m << " k=" << k << " n=" << n << " flat " << i;
-      }
+      for (int64_t i = 0; i < m; ++i)
+        for (int64_t j = 0; j < n; ++j) {
+          mf::ad::real acc = bias[static_cast<std::size_t>(j)];
+          for (int64_t kk = 0; kk < k; ++kk) {
+            acc = std::fma(a[static_cast<std::size_t>(i * k + kk)],
+                           b[static_cast<std::size_t>(kk * n + j)], acc);
+          }
+          ASSERT_EQ(fma_got[static_cast<std::size_t>(i * n + j)], acc)
+              << "fma: m=" << m << " k=" << k << " n=" << n << " row " << i
+              << " col " << j;
+        }
     }
     kernels::fma_kernels_set_enabled(fma_was);
   }
+}
+
+TEST(Kernels, BroadcastPlanRejectsRankAboveEight) {
+  const Shape nine(9, 1);
+  EXPECT_THROW((void)kernels::BroadcastPlan(nine, nine, nine),
+               std::invalid_argument);
+  const Shape eight(8, 1);
+  EXPECT_NO_THROW((void)kernels::BroadcastPlan(eight, eight, eight));
 }
 
 TEST(Kernels, SumAxisAndTransposeParity) {
@@ -348,6 +370,84 @@ TEST(Kernels, GeluFusedMatchesCompositionalReference) {
   Tensor ref = ops::mul_scalar(
       ops::mul(x, ops::add_scalar(ops::tanh(inner), 1.0)), 0.5);
   expect_allclose(ops::gelu(x), ref, 1e-14, "gelu forward");
+}
+
+TEST(Kernels, GeluF64ChunkInvariantThreadInvariantAndAccurate) {
+  const bool fast_was = kernels::fast_tanh_set_enabled(true);
+  const int64_t n = 4001;
+  std::vector<double> x(static_cast<std::size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    x[static_cast<std::size_t>(i)] = -40.0 + 80.0 * static_cast<double>(i) /
+                                                 static_cast<double>(n - 1);
+  }
+
+  // Chunk invariance: the scalar tail repeats the vector lanes op for op,
+  // so no split of the array changes a bit.
+  std::vector<double> full = x;
+  kernels::gelu_block_inplace(full.data(), n);
+  std::vector<double> parts = x;
+  int64_t off = 0;
+  for (const int64_t c : {int64_t{1}, int64_t{3}, int64_t{5}, int64_t{7}}) {
+    kernels::gelu_block_inplace(parts.data() + off, c);
+    off += c;
+  }
+  kernels::gelu_block_inplace(parts.data() + off, n - off);
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    ASSERT_EQ(full[i], parts[i]) << "chunked, x=" << x[i];
+  }
+
+  // Eager map_unary shares the kernel at 1 and 2 threads.
+  KernelConfigGuard guard;
+  for (const int threads : {1, 2}) {
+    guard.threaded(threads);
+    std::vector<double> mapped(static_cast<std::size_t>(n));
+    kernels::map_unary(x.data(), mapped.data(), n, ad::sfn::Gelu{});
+    for (std::size_t i = 0; i < full.size(); ++i) {
+      ASSERT_EQ(full[i], mapped[i]) << threads << " threads, x=" << x[i];
+    }
+  }
+
+  if (kernels::fast_gelu_active()) {
+    // Accuracy against long double. The reference takes the gelu argument
+    // u exactly as sfn::Gelu rounds it in double: the left tail has
+    // condition number ~6|u| (up to ~2000), so the rounding of u alone
+    // moves the exact value by more than 1e-14 there. Past x ~ -21.2 the
+    // exp argument -2u exceeds its clamp at 708 and the kernel returns a
+    // signed zero for an exact value below 1e-306; the absolute term
+    // admits that.
+    for (std::size_t i = 0; i < full.size(); ++i) {
+      const double xi = x[i];
+      const double u = ad::sfn::kGeluCoeff * (xi + 0.044715 * xi * xi * xi);
+      const long double ref =
+          static_cast<long double>(xi) /
+          (1.0L + std::exp(-2.0L * static_cast<long double>(u)));
+      const long double err = std::fabs(static_cast<long double>(full[i]) - ref);
+      ASSERT_LE(err, 1e-14L * std::fabs(ref) + 1e-306L) << "x=" << xi;
+    }
+
+    // Signed zeros, saturation and NaN, in a vector lane and in the tail.
+    for (const int64_t len : {int64_t{4}, int64_t{1}}) {
+      const double inputs[] = {0.0, -0.0, 40.0, -40.0, -1e300,
+                               std::numeric_limits<double>::quiet_NaN()};
+      double out[6];
+      for (int i = 0; i < 6; ++i) {
+        double block[4] = {inputs[i], inputs[i], inputs[i], inputs[i]};
+        kernels::gelu_block_inplace(block, len);
+        out[i] = block[0];
+      }
+      EXPECT_EQ(out[0], 0.0);
+      EXPECT_FALSE(std::signbit(out[0]));
+      EXPECT_EQ(out[1], 0.0);
+      EXPECT_TRUE(std::signbit(out[1]));
+      EXPECT_EQ(out[2], 40.0);
+      EXPECT_EQ(out[3], 0.0);
+      EXPECT_TRUE(std::signbit(out[3]));
+      EXPECT_EQ(out[4], 0.0);
+      EXPECT_TRUE(std::signbit(out[4]));
+      EXPECT_TRUE(std::isnan(out[5]));
+    }
+  }
+  kernels::fast_tanh_set_enabled(fast_was);
 }
 
 TEST(Kernels, GeluGradcheckFirstAndSecondOrder) {
