@@ -1,5 +1,6 @@
 #include "ad/program.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -9,6 +10,7 @@
 #include <cstring>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <type_traits>
 
@@ -258,9 +260,19 @@ struct Program::Impl {
   std::vector<AdamParamExec> adam_params;
   std::vector<LambParamExec> lamb_params;
   std::vector<prog::AdamPlanState*> adam_ticks;
-  // Internal storage: byte buffers reused across slots whose live ranges
-  // do not overlap (byte-addressed so f32 and f64 slots pack together).
-  std::vector<std::vector<std::byte>> arena;
+  // Liveness packing: the buffer each internal slot shares with slots of
+  // disjoint live range (-1: external or fused away). Buffers own no
+  // storage; each replay width places them in a thread's scratch block.
+  std::vector<std::int32_t> packed_of;
+  std::int32_t n_packed = 0;
+  // One width's placement; `base` is the block its operand table points
+  // into, so a replay on any other block rebinds the table first.
+  struct Scratch {
+    std::vector<std::size_t> off;  // byte offset of each packed buffer
+    std::size_t bytes = 0;         // block size this width needs
+    const std::byte* base = nullptr;
+  };
+  Scratch scratch;  // base width
 
   // Dependency-DAG execution waves over `steps` (computed once at
   // lowering): waves[w] lists step indices whose operand buffers have no
@@ -288,7 +300,8 @@ struct Program::Impl {
     std::vector<kernels::BroadcastPlan> bplans;
     std::vector<int64_t> slot_len;
     std::vector<void*> buf;
-    std::vector<std::vector<std::byte>> store;  // per-slot wide buffers
+    Scratch scratch;
+    std::vector<std::vector<std::byte>> io;  // declared slots at this width
   };
   bool wide_ready = false;
   int64_t base_b = 0;
@@ -321,7 +334,9 @@ struct Program::Impl {
     adam_params.clear();
     lamb_params.clear();
     adam_ticks.clear();
-    arena.clear();
+    packed_of.clear();
+    n_packed = 0;
+    scratch = {};
     waves.clear();
     health_slots.clear();
     last_healthy = true;
@@ -359,248 +374,162 @@ std::int32_t intern(Program::Impl& im, const Tensor& t) {
 
 Program::Impl* rec() { return detail::g_recorder; }
 
+/// Append a step of `kind` reading `a` (and `b`, `c` when given) into
+/// `out`, with the kernel geometry p0, p1, ... exactly as the eager op
+/// passed it. Operands intern in the order a, b, c, out.
+Step& record(Program::Impl& im, StepKind kind, const Tensor& a,
+             const Tensor* b, const Tensor* c, const Tensor& out,
+             std::initializer_list<int64_t> geo) {
+  Step s;
+  s.kind = kind;
+  s.a = intern(im, a);
+  if (b) s.b = intern(im, *b);
+  if (c && c->defined()) s.c = intern(im, *c);
+  s.out = intern(im, out);
+  int64_t* p[] = {&s.p0, &s.p1, &s.p2, &s.p3, &s.p4, &s.p5};
+  std::size_t i = 0;
+  for (int64_t v : geo) *p[i++] = v;
+  return im.steps.emplace_back(s);
+}
+
 }  // namespace
 
 void on_unary(Unary fn, real scalar, const Tensor& a, const Tensor& out) {
-  Program::Impl* im = rec();
-  if (!im) return;
-  Step s;
-  s.kind = StepKind::kUnary;
-  s.fn = static_cast<std::uint8_t>(fn);
-  s.scalar = scalar;
-  s.a = intern(*im, a);
-  s.out = intern(*im, out);
-  s.p0 = out.numel();
-  im->steps.push_back(s);
+  if (Program::Impl* im = rec()) {
+    Step& s = record(*im, StepKind::kUnary, a, nullptr, nullptr, out,
+                     {out.numel()});
+    s.fn = static_cast<std::uint8_t>(fn);
+    s.scalar = scalar;
+  }
 }
 
 void on_binary(Binary fn, const Tensor& a, const Tensor& b, const Tensor& out) {
-  Program::Impl* im = rec();
-  if (!im) return;
-  Step s;
-  s.kind = StepKind::kBinary;
-  s.fn = static_cast<std::uint8_t>(fn);
-  s.a = intern(*im, a);
-  s.b = intern(*im, b);
-  s.out = intern(*im, out);
-  s.p0 = out.numel();
-  im->steps.push_back(s);
+  if (Program::Impl* im = rec()) {
+    record(*im, StepKind::kBinary, a, &b, nullptr, out, {out.numel()}).fn =
+        static_cast<std::uint8_t>(fn);
+  }
 }
 
 void on_binary_bcast(Binary fn, const kernels::BroadcastPlan& plan,
                      const Tensor& a, const Tensor& b, const Tensor& out) {
-  Program::Impl* im = rec();
-  if (!im) return;
-  Step s;
-  s.kind = StepKind::kBinaryBcast;
-  s.fn = static_cast<std::uint8_t>(fn);
-  s.a = intern(*im, a);
-  s.b = intern(*im, b);
-  s.out = intern(*im, out);
-  s.plan = static_cast<std::int32_t>(im->bplans.size());
-  im->bplans.push_back(plan);
-  im->steps.push_back(s);
+  if (Program::Impl* im = rec()) {
+    Step& s = record(*im, StepKind::kBinaryBcast, a, &b, nullptr, out, {});
+    s.fn = static_cast<std::uint8_t>(fn);
+    s.plan = static_cast<std::int32_t>(im->bplans.size());
+    im->bplans.push_back(plan);
+  }
 }
 
 void on_broadcast_copy(const kernels::BroadcastPlan& plan, const Tensor& a,
                        const Tensor& out) {
-  Program::Impl* im = rec();
-  if (!im) return;
-  Step s;
-  s.kind = StepKind::kBcastCopy;
-  s.a = intern(*im, a);
-  s.out = intern(*im, out);
-  s.plan = static_cast<std::int32_t>(im->bplans.size());
-  im->bplans.push_back(plan);
-  im->steps.push_back(s);
+  if (Program::Impl* im = rec()) {
+    record(*im, StepKind::kBcastCopy, a, nullptr, nullptr, out, {}).plan =
+        static_cast<std::int32_t>(im->bplans.size());
+    im->bplans.push_back(plan);
+  }
 }
 
 void on_reduce(const kernels::ReducePlan& plan, const Tensor& a,
                const Tensor& out) {
-  Program::Impl* im = rec();
-  if (!im) return;
-  Step s;
-  s.kind = StepKind::kReduce;
-  s.a = intern(*im, a);
-  s.out = intern(*im, out);
-  s.plan = static_cast<std::int32_t>(im->rplans.size());
-  im->rplans.push_back(plan);
-  im->steps.push_back(s);
+  if (Program::Impl* im = rec()) {
+    record(*im, StepKind::kReduce, a, nullptr, nullptr, out, {}).plan =
+        static_cast<std::int32_t>(im->rplans.size());
+    im->rplans.push_back(plan);
+  }
 }
 
 void on_sum_all(const Tensor& a, const Tensor& out) {
-  Program::Impl* im = rec();
-  if (!im) return;
-  Step s;
-  s.kind = StepKind::kSumAll;
-  s.a = intern(*im, a);
-  s.out = intern(*im, out);
-  s.p0 = a.numel();
-  im->steps.push_back(s);
+  if (Program::Impl* im = rec()) {
+    record(*im, StepKind::kSumAll, a, nullptr, nullptr, out, {a.numel()});
+  }
 }
 
 void on_sum_axis(const Tensor& a, const Tensor& out, int64_t outer,
                  int64_t n_axis, int64_t inner) {
-  Program::Impl* im = rec();
-  if (!im) return;
-  Step s;
-  s.kind = StepKind::kSumAxis;
-  s.a = intern(*im, a);
-  s.out = intern(*im, out);
-  s.p0 = outer;
-  s.p1 = n_axis;
-  s.p2 = inner;
-  im->steps.push_back(s);
+  if (Program::Impl* im = rec()) {
+    record(*im, StepKind::kSumAxis, a, nullptr, nullptr, out,
+           {outer, n_axis, inner});
+  }
 }
 
 void on_matmul(const Tensor& a, const Tensor& b, const Tensor* bias,
                const Tensor& out, int64_t m, int64_t k, int64_t n) {
-  Program::Impl* im = rec();
-  if (!im) return;
-  Step s;
-  s.kind = StepKind::kMatmul;
-  s.a = intern(*im, a);
-  s.b = intern(*im, b);
-  s.c = (bias && bias->defined()) ? intern(*im, *bias) : -1;
-  s.out = intern(*im, out);
-  s.p0 = m;
-  s.p1 = k;
-  s.p2 = n;
-  im->steps.push_back(s);
+  if (Program::Impl* im = rec()) {
+    record(*im, StepKind::kMatmul, a, &b, bias, out, {m, k, n});
+  }
 }
 
 void on_transpose(const Tensor& a, const Tensor& out, int64_t m, int64_t n) {
-  Program::Impl* im = rec();
-  if (!im) return;
-  Step s;
-  s.kind = StepKind::kTranspose;
-  s.a = intern(*im, a);
-  s.out = intern(*im, out);
-  s.p0 = m;
-  s.p1 = n;
-  im->steps.push_back(s);
+  if (Program::Impl* im = rec()) {
+    record(*im, StepKind::kTranspose, a, nullptr, nullptr, out, {m, n});
+  }
 }
 
 void on_copy(const Tensor& src, const Tensor& out) {
-  Program::Impl* im = rec();
-  if (!im) return;
-  Step s;
-  s.kind = StepKind::kCopy;
-  s.a = intern(*im, src);
-  s.out = intern(*im, out);
-  s.p0 = out.numel();
-  im->steps.push_back(s);
+  if (Program::Impl* im = rec()) {
+    record(*im, StepKind::kCopy, src, nullptr, nullptr, out, {out.numel()});
+  }
 }
 
 void on_slice_pack(const Tensor& in, const Tensor& out, int64_t outer,
                    int64_t len, int64_t inner, int64_t n_axis, int64_t start) {
-  Program::Impl* im = rec();
-  if (!im) return;
-  Step s;
-  s.kind = StepKind::kSlicePack;
-  s.a = intern(*im, in);
-  s.out = intern(*im, out);
-  s.p0 = outer;
-  s.p1 = len;
-  s.p2 = inner;
-  s.p3 = n_axis;
-  s.p4 = start;
-  im->steps.push_back(s);
+  if (Program::Impl* im = rec()) {
+    record(*im, StepKind::kSlicePack, in, nullptr, nullptr, out,
+           {outer, len, inner, n_axis, start});
+  }
 }
 
 void on_slice_scatter(const Tensor& g, const Tensor& out, int64_t outer,
                       int64_t len, int64_t inner, int64_t n_axis,
                       int64_t start) {
-  Program::Impl* im = rec();
-  if (!im) return;
-  Step s;
-  s.kind = StepKind::kSliceScatter;
-  s.a = intern(*im, g);
-  s.out = intern(*im, out);
-  s.p0 = outer;
-  s.p1 = len;
-  s.p2 = inner;
-  s.p3 = n_axis;
-  s.p4 = start;
-  im->steps.push_back(s);
+  if (Program::Impl* im = rec()) {
+    record(*im, StepKind::kSliceScatter, g, nullptr, nullptr, out,
+           {outer, len, inner, n_axis, start});
+  }
 }
 
 void on_concat_part(const Tensor& part, const Tensor& out, int64_t outer,
                     int64_t total, int64_t offset, int64_t len, int64_t inner) {
-  Program::Impl* im = rec();
-  if (!im) return;
-  Step s;
-  s.kind = StepKind::kConcatPart;
-  s.a = intern(*im, part);
-  s.out = intern(*im, out);
-  s.p0 = outer;
-  s.p1 = total;
-  s.p2 = offset;
-  s.p3 = len;
-  s.p4 = inner;
-  im->steps.push_back(s);
+  if (Program::Impl* im = rec()) {
+    record(*im, StepKind::kConcatPart, part, nullptr, nullptr, out,
+           {outer, total, offset, len, inner});
+  }
 }
-
-namespace {
-void conv_common(Step& s, StepKind kind, const Tensor& a, const Tensor& b,
-                 const Tensor* c, const Tensor& out, int64_t B, int64_t Cin,
-                 int64_t L, int64_t Cout, int64_t K, int64_t padding) {
-  Program::Impl& im = *rec();
-  s.kind = kind;
-  s.a = intern(im, a);
-  s.b = intern(im, b);
-  s.c = (c && c->defined()) ? intern(im, *c) : -1;
-  s.out = intern(im, out);
-  s.p0 = B;
-  s.p1 = Cin;
-  s.p2 = L;
-  s.p3 = Cout;
-  s.p4 = K;
-  s.p5 = padding;
-  im.steps.push_back(s);
-}
-}  // namespace
 
 void on_conv1d_forward(const Tensor& in, const Tensor& w, const Tensor* bias,
                        const Tensor& out, int64_t B, int64_t Cin, int64_t L,
                        int64_t Cout, int64_t K, int64_t padding) {
-  if (!rec()) return;
-  Step s;
-  conv_common(s, StepKind::kConv1dFwd, in, w, bias, out, B, Cin, L, Cout, K,
-              padding);
+  if (Program::Impl* im = rec()) {
+    record(*im, StepKind::kConv1dFwd, in, &w, bias, out,
+           {B, Cin, L, Cout, K, padding});
+  }
 }
 
 void on_conv1d_grad_input(const Tensor& gout, const Tensor& w,
                           const Tensor& out, int64_t B, int64_t Cin, int64_t L,
                           int64_t Cout, int64_t K, int64_t padding) {
-  if (!rec()) return;
-  Step s;
-  conv_common(s, StepKind::kConv1dGradIn, gout, w, nullptr, out, B, Cin, L,
-              Cout, K, padding);
+  if (Program::Impl* im = rec()) {
+    record(*im, StepKind::kConv1dGradIn, gout, &w, nullptr, out,
+           {B, Cin, L, Cout, K, padding});
+  }
 }
 
 void on_conv1d_grad_weight(const Tensor& gout, const Tensor& in,
                            const Tensor& out, int64_t B, int64_t Cin,
                            int64_t L, int64_t Cout, int64_t K,
                            int64_t padding) {
-  if (!rec()) return;
-  Step s;
-  conv_common(s, StepKind::kConv1dGradW, gout, in, nullptr, out, B, Cin, L,
-              Cout, K, padding);
+  if (Program::Impl* im = rec()) {
+    record(*im, StepKind::kConv1dGradW, gout, &in, nullptr, out,
+           {B, Cin, L, Cout, K, padding});
+  }
 }
 
 void on_conv1d_grad_bias(const Tensor& gout, const Tensor& out, int64_t B,
                          int64_t Cout, int64_t Lout) {
-  Program::Impl* im = rec();
-  if (!im) return;
-  Step s;
-  s.kind = StepKind::kConv1dGradB;
-  s.a = intern(*im, gout);
-  s.out = intern(*im, out);
-  s.p0 = B;
-  s.p1 = Cout;
-  s.p2 = Lout;
-  im->steps.push_back(s);
+  if (Program::Impl* im = rec()) {
+    record(*im, StepKind::kConv1dGradB, gout, nullptr, nullptr, out,
+           {B, Cout, Lout});
+  }
 }
 
 void on_adam_tick(AdamPlanState* st) {
@@ -886,10 +815,72 @@ void insert_casts(Program::Impl& im, std::vector<char>& internal) {
   im.steps = std::move(out_steps);
 }
 
+/// The calling thread's scratch block, grown (never shrunk) to at least
+/// `bytes`. Every replay on the thread, of any plan at any width, takes
+/// its internal slots from it: lowering only marks a slot internal when
+/// a step fully writes it before any read, so nothing in the block
+/// outlives the replay that wrote it.
+std::byte* thread_scratch(std::size_t bytes) {
+  struct Free {
+    void operator()(std::byte* p) const { std::free(p); }
+  };
+  thread_local std::unique_ptr<std::byte[], Free> block;
+  thread_local std::size_t cap = 0;
+  if (cap < bytes) {
+    block.reset();  // the old contents are dead: free before growing
+    cap = 0;
+    // Cache-line aligned, so no packed buffer starts mid-line and vector
+    // loads of a buffer do not split lines.
+    block.reset(static_cast<std::byte*>(std::aligned_alloc(64, bytes)));
+    if (!block) throw std::bad_alloc();
+    cap = bytes;
+  }
+  return block.get();
+}
+
+/// Lay the packed buffers out back to back for one replay width, each
+/// sized for the widest slot it holds at `slot_len` and padded to a
+/// cache line. Returns the unpadded total.
+std::size_t lay_out(const Program::Impl& im,
+                    const std::vector<int64_t>& slot_len,
+                    Program::Impl::Scratch& sc) {
+  sc = {};
+  sc.off.assign(static_cast<std::size_t>(im.n_packed), 0);
+  for (std::size_t s = 0; s < im.packed_of.size(); ++s) {
+    if (im.packed_of[s] < 0) continue;
+    auto& z = sc.off[static_cast<std::size_t>(im.packed_of[s])];
+    z = std::max(z, static_cast<std::size_t>(slot_len[s]) *
+                        dtype_size(im.slot_dt[s]));
+  }
+  std::size_t total = 0;
+  for (std::size_t& z : sc.off) {  // sizes become offsets
+    const std::size_t at = sc.bytes;
+    total += z;
+    sc.bytes += (z + 63) / 64 * 64;
+    z = at;
+  }
+  return total;
+}
+
+/// Point `buf`'s internal slots into the calling thread's scratch block,
+/// rebinding only when the width last ran against another block (another
+/// thread's, or this thread's before it grew).
+void bind_scratch(const Program::Impl& im, Program::Impl::Scratch& sc,
+                  std::vector<void*>& buf) {
+  std::byte* base = thread_scratch(sc.bytes);
+  if (base == sc.base) return;
+  for (std::size_t s = 0; s < im.packed_of.size(); ++s) {
+    if (im.packed_of[s] >= 0) {
+      buf[s] = base + sc.off[static_cast<std::size_t>(im.packed_of[s])];
+    }
+  }
+  sc.base = base;
+}
+
 /// Derive the dependency DAG over the lowered steps and partition it
 /// into execution waves. Hazards are tracked on the *resolved buffer
 /// pointers* (im.buf), not slot indices: liveness packing makes two
-/// disjoint-lifetime slots share one arena buffer, and that reuse is a
+/// disjoint-lifetime slots share one packed buffer, and that reuse is a
 /// real WAR/WAW hazard the slot graph would miss. In-plan optimizer
 /// steps add one pseudo-resource per AdamPlanState (the tick writes the
 /// bias corrections the parameter steps read). A step lands in the
@@ -965,7 +956,7 @@ void compute_waves(Program::Impl& im) {
 
 /// Lower the raw trace: release the recorded autodiff graph, fuse
 /// adjacent elementwise chains, compute slot live ranges, pack internal
-/// slots onto reused arena buffers, resolve every operand to a raw
+/// slots onto shared scratch buffers, resolve every operand to a raw
 /// pointer.
 void lower(Program::Impl& im) {
   const std::size_t S0 = im.slots.size();
@@ -1033,44 +1024,41 @@ void lower(Program::Impl& im) {
     }
   }
   std::unordered_map<int64_t, std::vector<std::int32_t>> free_by_len;
-  std::vector<std::int32_t> arena_of(S, -1);
+  im.packed_of.assign(S, -1);
   for (std::size_t i = 0; i < im.steps.size(); ++i) {
     const std::int32_t o = im.steps[i].out;
     if (o >= 0 && internal[static_cast<std::size_t>(o)] &&
         r.def[static_cast<std::size_t>(o)] == static_cast<std::int32_t>(i)) {
       auto& fl = free_by_len[slot_bytes(static_cast<std::size_t>(o))];
       if (!fl.empty()) {
-        arena_of[static_cast<std::size_t>(o)] = fl.back();
+        im.packed_of[static_cast<std::size_t>(o)] = fl.back();
         fl.pop_back();
       } else {
-        arena_of[static_cast<std::size_t>(o)] =
-            static_cast<std::int32_t>(im.arena.size());
-        im.arena.emplace_back(
-            static_cast<std::size_t>(slot_bytes(static_cast<std::size_t>(o))));
+        im.packed_of[static_cast<std::size_t>(o)] = im.n_packed++;
       }
     }
     for (std::int32_t s : released[i]) {
       free_by_len[slot_bytes(static_cast<std::size_t>(s))].push_back(
-          arena_of[static_cast<std::size_t>(s)]);
+          im.packed_of[static_cast<std::size_t>(s)]);
     }
   }
 
-  im.buf.resize(S);
+  // Internal slots (fused away ones included) return their payloads to
+  // the pool; the packed ones are bound to scratch below.
+  im.buf.assign(S, nullptr);
   for (std::size_t s = 0; s < S; ++s) {
-    if (internal[s] && r.first[s] < 0) {
-      // Fused away entirely: no step reads or writes it anymore.
-      im.buf[s] = nullptr;
+    if (internal[s]) {
       if (s < S0) im.slots[s].reset();
-    } else if (internal[s]) {
-      im.buf[s] = im.arena[static_cast<std::size_t>(arena_of[s])].data();
-      if (s < S0) im.slots[s].reset();  // payload returns to the pool
     } else {
       im.buf[s] = im.slots[s]->data.raw();
       ++im.external_slots;
       im.pinned_bytes += im.slots[s]->data.size_bytes();
     }
   }
-  for (const auto& a : im.arena) im.arena_bytes += a.size();
+  im.arena_bytes = lay_out(im, im.slot_len, im.scratch);
+  // Bound on the capturing thread so the hazard analysis below sees the
+  // packed buffers as distinct addresses.
+  bind_scratch(im, im.scratch, im.buf);
 
   // Health sentinel slot list: every external slot some step writes
   // (losses, predictions, `.grad` buffers, optimizer-updated parameters).
@@ -1793,139 +1781,6 @@ class PlanPool {
   int finished_ = 0;
 };
 
-/// True when this replay should go through the wave executor: opted in
-/// via MF_PLAN_THREADS, not hatched off, and the plan actually has
-/// intra-wave parallelism to exploit (a fully serial chain — one step
-/// per wave — would only pay barrier overhead).
-bool use_parallel_replay(const Program::Impl& im) {
-  return program_parallel_enabled() && program_plan_threads() > 1 &&
-         !im.waves.empty() && im.waves.size() < im.steps.size();
-}
-
-/// Record-time shape of a slot with the leading dimension scaled by `f`
-/// when the slot carries the batch.
-Shape wide_shape(const Program::Impl& im, std::int32_t slot, int64_t f) {
-  Shape sh = im.slot_shape[static_cast<std::size_t>(slot)];
-  if (im.slot_scaled[static_cast<std::size_t>(slot)] && !sh.empty()) {
-    sh[0] *= f;
-  }
-  return sh;
-}
-
-/// Shape-level broadcast mirroring BroadcastPlan's trailing alignment.
-/// Returns false when `a` and `b` do not broadcast; otherwise `out` is
-/// the broadcast result.
-bool bcast_result(const Shape& a, const Shape& b, Shape& out) {
-  const std::size_t nd = std::max(a.size(), b.size());
-  out.assign(nd, 1);
-  for (std::size_t d = 0; d < nd; ++d) {
-    const int64_t av = d >= nd - a.size() ? a[d - (nd - a.size())] : 1;
-    const int64_t bv = d >= nd - b.size() ? b[d - (nd - b.size())] : 1;
-    if (av != bv && av != 1 && bv != 1) return false;
-    out[d] = std::max(av, bv);
-  }
-  return true;
-}
-
-/// Find or build the replay context for widening factor `f` (> 1): step
-/// list with scaled geometry, broadcast plans rebuilt from the widened
-/// shapes, and a buffer table where unscaled external slots alias the
-/// live master payloads (parameters are read in place, so retraining
-/// between widened replays needs no re-widen) while scaled slots and
-/// every internal slot get fresh per-slot storage. Deliberately no arena
-/// packing: unaliased buffers keep the master wave schedule valid and
-/// make instance-independence structural rather than lifetimes-dependent.
-Program::Impl::WideContext* get_wide_ctx(Program::Impl& im, int64_t f) {
-  for (std::size_t i = 0; i < im.wide_ctxs.size(); ++i) {
-    if (im.wide_ctxs[i]->factor == f) {
-      // LRU: most recently used context moves to the back, so steady
-      // traffic on a few factors never rebuilds.
-      if (i + 1 != im.wide_ctxs.size()) {
-        auto c = std::move(im.wide_ctxs[i]);
-        im.wide_ctxs.erase(im.wide_ctxs.begin() + static_cast<std::ptrdiff_t>(i));
-        im.wide_ctxs.push_back(std::move(c));
-      }
-      return im.wide_ctxs.back().get();
-    }
-  }
-  // Bounded: a server replaying many distinct batch sizes would otherwise
-  // accumulate one f-scaled buffer set per distinct factor forever.
-  // Contexts are cheap to rebuild (no capture, just step/plan scaling), so
-  // evicting the least recently used one is safe.
-  // 32 covers an iteration-level batching server whose per-tick group
-  // sizes wander (base-1 plans see one factor per distinct batch size).
-  constexpr std::size_t kMaxWideCtxs = 32;
-  if (im.wide_ctxs.size() >= kMaxWideCtxs) {
-    im.wide_ctxs.erase(im.wide_ctxs.begin());
-  }
-  auto ctx = std::make_unique<Program::Impl::WideContext>();
-  ctx->factor = f;
-  const std::size_t S = im.slots.size();
-  ctx->slot_len = im.slot_len;
-  for (std::size_t s = 0; s < S; ++s) {
-    if (im.slot_scaled[s]) ctx->slot_len[s] *= f;
-  }
-  ctx->store.resize(S);
-  ctx->buf.assign(S, nullptr);
-  for (std::size_t s = 0; s < S; ++s) {
-    if (!im.buf[s]) continue;  // fused away entirely
-    if (im.slots[s] && !im.slot_scaled[s]) {
-      ctx->buf[s] = im.buf[s];
-    } else {
-      ctx->store[s].assign(static_cast<std::size_t>(ctx->slot_len[s]) *
-                               dtype_size(im.slot_dt[s]),
-                           std::byte{0});
-      ctx->buf[s] = ctx->store[s].data();
-    }
-  }
-  ctx->steps = im.steps;
-  for (Step& s : ctx->steps) {
-    switch (s.kind) {
-      case StepKind::kUnary:
-      case StepKind::kBinary:
-      case StepKind::kCopy:
-      case StepKind::kFused:
-      case StepKind::kCast:
-        // p0 is the element count; scaled outputs imply scaled inputs.
-        if (im.slot_scaled[static_cast<std::size_t>(s.out)]) s.p0 *= f;
-        break;
-      case StepKind::kMatmul:      // p0 = m, rows including the batch
-      case StepKind::kConv1dFwd:   // p0 = B
-      case StepKind::kSumAxis:     // p0 = outer, batch-leading
-      case StepKind::kSlicePack:   // p0 = outer, batch-leading
-      case StepKind::kSliceScatter:
-      case StepKind::kConcatPart:
-        if (im.slot_scaled[static_cast<std::size_t>(s.a)]) s.p0 *= f;
-        break;
-      default:
-        break;  // plan-driven or unscaled by the widening analysis
-    }
-  }
-  ctx->bplans = im.bplans;
-  for (const Step& s : im.steps) {
-    if (s.kind == StepKind::kBinaryBcast) {
-      ctx->bplans[static_cast<std::size_t>(s.plan)] = kernels::BroadcastPlan(
-          wide_shape(im, s.out, f), wide_shape(im, s.a, f),
-          wide_shape(im, s.b, f));
-    } else if (s.kind == StepKind::kBcastCopy) {
-      const Shape a_w = wide_shape(im, s.a, f);
-      ctx->bplans[static_cast<std::size_t>(s.plan)] =
-          kernels::BroadcastPlan(wide_shape(im, s.out, f), a_w, a_w);
-    }
-  }
-  im.wide_ctxs.push_back(std::move(ctx));
-  return im.wide_ctxs.back().get();
-}
-
-}  // namespace
-
-Program::Program() : impl_(std::make_unique<Impl>()) {}
-Program::~Program() = default;
-Program::Program(Program&&) noexcept = default;
-Program& Program::operator=(Program&&) noexcept = default;
-
-namespace {
-
 template <typename T>
 bool span_healthy(const T* p, int64_t n) {
   for (int64_t i = 0; i < n; ++i) {
@@ -1965,7 +1820,189 @@ void run_health_check(Program::Impl& im, void* const* buf,
   }
 }
 
+/// The one step loop behind replay() and replay_widened(): binds the
+/// width's internal slots to the calling thread's scratch block, then
+/// runs its steps profiled (MF_PROGRAM_PROFILE=1, always serial and in
+/// recorded order), on the wave executor (opted in via MF_PLAN_THREADS,
+/// not hatched off, and the plan has intra-wave parallelism — a chain of
+/// one step per wave would only pay barrier overhead), or serially.
+void run_plan(Program::Impl& im, const std::vector<Step>& steps,
+              std::vector<void*>& buf, Program::Impl::Scratch& sc,
+              const int64_t* slot_len, const kernels::BroadcastPlan* bplans) {
+  static const bool prof = [] {
+    const char* e = std::getenv("MF_PROGRAM_PROFILE");
+    return e && e[0] == '1';
+  }();
+  bind_scratch(im, sc, buf);
+  void* const* B = buf.data();
+  if (prof) {
+    // Per-thread accumulators: inference replays programs from several
+    // OpenMP threads at once, and a shared tally would be a data race.
+    // Bands [0, kStepKindCount) tally per step kind, bands above split
+    // kUnary by fn (see kProfBands).
+    static thread_local double acc[kProfBands] = {0};
+    static thread_local std::uint64_t cnt[kProfBands] = {0};
+    static thread_local std::uint64_t elems[kProfBands] = {0};
+    static thread_local std::uint64_t calls = 0;
+    for (const Step& s : steps) {
+      int k = static_cast<int>(s.kind);
+      if (s.kind == StepKind::kUnary && s.fn < kUnaryFnCount) {
+        k = kStepKindCount + s.fn;
+      }
+      const double t0 = now_ms();
+      execute(im, s, B, slot_len, bplans);
+      acc[k] += now_ms() - t0;
+      ++cnt[k];
+      elems[k] += static_cast<std::uint64_t>(s.p0);
+    }
+    if (++calls % 24 == 0) {
+      std::fprintf(stderr, "PROGPROF after %llu replays:\n",
+                   static_cast<unsigned long long>(calls));
+      for (int k = 0; k < kProfBands; ++k) {
+        if (cnt[k]) {
+          std::fprintf(stderr,
+                       "  kind %2d: %8.3f ms total, %8llu steps, %10llu elems\n",
+                       k, acc[k], static_cast<unsigned long long>(cnt[k]),
+                       static_cast<unsigned long long>(elems[k]));
+        }
+      }
+    }
+  } else if (program_parallel_enabled() && program_plan_threads() > 1 &&
+             !im.waves.empty() && im.waves.size() < im.steps.size()) {
+    PlanPool::instance().run(im, steps.data(), B, slot_len, bplans,
+                             program_plan_threads());
+  } else {
+    for (const Step& s : steps) execute(im, s, B, slot_len, bplans);
+  }
+  ++im.replays;
+  run_health_check(im, B, slot_len);
+}
+
+/// Record-time shape of a slot with the leading dimension scaled by `f`
+/// when the slot carries the batch.
+Shape wide_shape(const Program::Impl& im, std::int32_t slot, int64_t f) {
+  Shape sh = im.slot_shape[static_cast<std::size_t>(slot)];
+  if (im.slot_scaled[static_cast<std::size_t>(slot)] && !sh.empty()) {
+    sh[0] *= f;
+  }
+  return sh;
+}
+
+/// Shape-level broadcast mirroring BroadcastPlan's trailing alignment.
+/// Returns false when `a` and `b` do not broadcast; otherwise `out` is
+/// the broadcast result.
+bool bcast_result(const Shape& a, const Shape& b, Shape& out) {
+  const std::size_t nd = std::max(a.size(), b.size());
+  out.assign(nd, 1);
+  for (std::size_t d = 0; d < nd; ++d) {
+    const int64_t av = d >= nd - a.size() ? a[d - (nd - a.size())] : 1;
+    const int64_t bv = d >= nd - b.size() ? b[d - (nd - b.size())] : 1;
+    if (av != bv && av != 1 && bv != 1) return false;
+    out[d] = std::max(av, bv);
+  }
+  return true;
+}
+
+/// Find or build the replay context for widening factor `f` (> 1): step
+/// list with scaled geometry, broadcast plans rebuilt from the widened
+/// shapes, and a buffer table. Unscaled external slots alias the live
+/// master payloads (parameters are read in place, so retraining between
+/// widened replays needs no re-widen); declared batch io gets storage of
+/// its own at this width; internal slots keep the master's liveness
+/// packing, laid out at this width in the replaying thread's scratch
+/// block. Same packing, same hazards: the master wave schedule holds.
+Program::Impl::WideContext* get_wide_ctx(Program::Impl& im, int64_t f) {
+  auto& ctxs = im.wide_ctxs;
+  auto hit = std::find_if(ctxs.begin(), ctxs.end(),
+                          [f](const auto& c) { return c->factor == f; });
+  if (hit != ctxs.end()) {
+    // LRU: most recently used context moves to the back, so steady
+    // traffic on a few factors never rebuilds.
+    std::rotate(hit, hit + 1, ctxs.end());
+    return ctxs.back().get();
+  }
+  // Bounded: a server replaying many distinct batch sizes would otherwise
+  // accumulate one f-scaled io set per distinct factor forever.
+  // Contexts are cheap to rebuild (no capture, just step/plan scaling), so
+  // evicting the least recently used one is safe.
+  // 32 covers an iteration-level batching server whose per-tick group
+  // sizes wander (base-1 plans see one factor per distinct batch size).
+  constexpr std::size_t kMaxWideCtxs = 32;
+  if (im.wide_ctxs.size() >= kMaxWideCtxs) {
+    im.wide_ctxs.erase(im.wide_ctxs.begin());
+  }
+  auto ctx = std::make_unique<Program::Impl::WideContext>();
+  ctx->factor = f;
+  const std::size_t S = im.slots.size();
+  ctx->slot_len = im.slot_len;
+  for (std::size_t s = 0; s < S; ++s) {
+    if (im.slot_scaled[s]) ctx->slot_len[s] *= f;
+  }
+  ctx->buf = im.buf;  // externals; internal entries bind at each replay
+  for (const auto& [impl, slot] : im.declared_slots) {
+    const auto u = static_cast<std::size_t>(slot);
+    ctx->io.emplace_back(
+        static_cast<std::size_t>(ctx->slot_len[u]) * dtype_size(im.slot_dt[u]),
+        std::byte{0});
+    ctx->buf[u] = ctx->io.back().data();
+  }
+  lay_out(im, ctx->slot_len, ctx->scratch);
+  ctx->steps = im.steps;
+  for (Step& s : ctx->steps) {
+    switch (s.kind) {
+      case StepKind::kUnary:
+      case StepKind::kBinary:
+      case StepKind::kCopy:
+      case StepKind::kFused:
+      case StepKind::kCast:
+        // p0 is the element count; scaled outputs imply scaled inputs.
+        if (im.slot_scaled[static_cast<std::size_t>(s.out)]) s.p0 *= f;
+        break;
+      case StepKind::kMatmul:      // p0 = m, rows including the batch
+      case StepKind::kConv1dFwd:   // p0 = B
+      case StepKind::kSumAxis:     // p0 = outer, batch-leading
+      case StepKind::kSlicePack:   // p0 = outer, batch-leading
+      case StepKind::kSliceScatter:
+      case StepKind::kConcatPart:
+        if (im.slot_scaled[static_cast<std::size_t>(s.a)]) s.p0 *= f;
+        break;
+      default:
+        break;  // plan-driven or unscaled by the widening analysis
+    }
+  }
+  ctx->bplans = im.bplans;
+  for (const Step& s : im.steps) {
+    if (s.kind == StepKind::kBinaryBcast) {
+      ctx->bplans[static_cast<std::size_t>(s.plan)] = kernels::BroadcastPlan(
+          wide_shape(im, s.out, f), wide_shape(im, s.a, f),
+          wide_shape(im, s.b, f));
+    } else if (s.kind == StepKind::kBcastCopy) {
+      const Shape a_w = wide_shape(im, s.a, f);
+      ctx->bplans[static_cast<std::size_t>(s.plan)] =
+          kernels::BroadcastPlan(wide_shape(im, s.out, f), a_w, a_w);
+    }
+  }
+  im.wide_ctxs.push_back(std::move(ctx));
+  return im.wide_ctxs.back().get();
+}
+
+/// Widening factor of batch `b`, validated for the entry point `who`.
+int64_t wide_factor(const Program::Impl& im, int64_t b,
+                    const std::string& who) {
+  if (!im.wide_ready) throw std::logic_error(who + " before widen()");
+  if (b <= 0 || b % im.base_b != 0) {
+    throw std::invalid_argument(
+        who + ": b must be a positive multiple of the base batch");
+  }
+  return b / im.base_b;
+}
+
 }  // namespace
+
+Program::Program() : impl_(std::make_unique<Impl>()) {}
+Program::~Program() = default;
+Program::Program(Program&&) noexcept = default;
+Program& Program::operator=(Program&&) noexcept = default;
 
 void Program::capture(const std::function<void()>& fn) {
   if (prog::detail::g_recorder) {
@@ -2018,57 +2055,8 @@ bool Program::last_replay_healthy() const { return impl_->last_healthy; }
 void Program::replay() {
   Impl& im = *impl_;
   if (!im.ready) throw std::logic_error("Program::replay before capture");
-  static const bool prof = [] {
-    const char* e = std::getenv("MF_PROGRAM_PROFILE");
-    return e && e[0] == '1';
-  }();
-  void* const* B = im.buf.data();
-  const int64_t* slot_len = im.slot_len.data();
-  const kernels::BroadcastPlan* bplans = im.bplans.data();
-  if (prof) {
-    // Per-thread accumulators: inference replays programs from several
-    // OpenMP threads at once, and a shared tally would be a data race.
-    // Band layout and sizes come from the enums (see kProfBands): bands
-    // [0, kStepKindCount) tally per step kind, bands above split kUnary
-    // by fn. The old fixed-size scheme put the unary split at 32 + fn,
-    // which aliased unary bands onto step kinds once the enum grew past
-    // 32 entries. Profiling always replays serially, in recorded order.
-    static thread_local double acc[kProfBands] = {0};
-    static thread_local std::uint64_t cnt[kProfBands] = {0};
-    static thread_local std::uint64_t elems[kProfBands] = {0};
-    static thread_local std::uint64_t calls = 0;
-    for (const Step& s : im.steps) {
-      int k = static_cast<int>(s.kind);
-      if (s.kind == StepKind::kUnary && s.fn < kUnaryFnCount) {
-        k = kStepKindCount + s.fn;
-      }
-      if (k < 0 || k >= kProfBands) k = 0;  // never taken; belt and braces
-      const double t0 = now_ms();
-      execute(im, s, B, slot_len, bplans);
-      acc[k] += now_ms() - t0;
-      ++cnt[k];
-      elems[k] += static_cast<std::uint64_t>(s.p0);
-    }
-    if (++calls % 24 == 0) {
-      std::fprintf(stderr, "PROGPROF after %llu replays:\n",
-                   static_cast<unsigned long long>(calls));
-      for (int k = 0; k < kProfBands; ++k) {
-        if (cnt[k]) {
-          std::fprintf(stderr,
-                       "  kind %2d: %8.3f ms total, %8llu steps, %10llu elems\n",
-                       k, acc[k], static_cast<unsigned long long>(cnt[k]),
-                       static_cast<unsigned long long>(elems[k]));
-        }
-      }
-    }
-  } else if (use_parallel_replay(im)) {
-    PlanPool::instance().run(im, im.steps.data(), B, slot_len, bplans,
-                             program_plan_threads());
-  } else {
-    for (const Step& s : im.steps) execute(im, s, B, slot_len, bplans);
-  }
-  ++im.replays;
-  run_health_check(im, im.buf.data(), im.slot_len.data());
+  run_plan(im, im.steps, im.buf, im.scratch, im.slot_len.data(),
+           im.bplans.data());
 }
 
 bool Program::widen(const std::vector<Tensor>& batch_io) {
@@ -2237,20 +2225,12 @@ int64_t Program::widen_cover(int64_t b) const {
 
 real* Program::widened_buffer(const Tensor& t, int64_t b) {
   Impl& im = *impl_;
-  if (!im.wide_ready) {
-    throw std::logic_error("Program::widened_buffer before widen()");
-  }
+  const int64_t f = wide_factor(im, b, "Program::widened_buffer");
   auto it = im.declared_slots.find(t.impl_ptr());
   if (it == im.declared_slots.end()) {
     throw std::invalid_argument(
         "Program::widened_buffer: tensor was not declared to widen()");
   }
-  if (b <= 0 || b % im.base_b != 0) {
-    throw std::invalid_argument(
-        "Program::widened_buffer: b must be a positive multiple of the "
-        "base batch");
-  }
-  const int64_t f = b / im.base_b;
   const auto slot = static_cast<std::size_t>(it->second);
   // Declared slots are externals, and externals always stay f64.
   if (f == 1) return static_cast<real*>(im.buf[slot]);
@@ -2259,38 +2239,16 @@ real* Program::widened_buffer(const Tensor& t, int64_t b) {
 
 void Program::replay_widened(int64_t b) {
   Impl& im = *impl_;
-  if (!im.wide_ready) {
-    throw std::logic_error("Program::replay_widened before widen()");
-  }
-  if (b <= 0 || b % im.base_b != 0) {
-    throw std::invalid_argument(
-        "Program::replay_widened: b must be a positive multiple of the "
-        "base batch");
-  }
-  const int64_t f = b / im.base_b;
-  if (f == 1) {
-    // Base width: the declared tensors' own payloads are the io buffers.
-    replay();
-    im.max_widen_batch = std::max(im.max_widen_batch, b);
-    return;
-  }
-  Impl::WideContext& ctx = *get_wide_ctx(im, f);
-  if (use_parallel_replay(im)) {
-    // The master wave schedule is valid for every width: wide contexts
-    // drop arena aliasing (fresh per-slot buffers), so their hazards are
-    // a subset of the master's.
-    PlanPool::instance().run(im, ctx.steps.data(), ctx.buf.data(),
-                             ctx.slot_len.data(), ctx.bplans.data(),
-                             program_plan_threads());
-  } else {
-    for (const Step& s : ctx.steps) {
-      execute(im, s, ctx.buf.data(), ctx.slot_len.data(), ctx.bplans.data());
-    }
-  }
-  ++im.replays;
-  ++im.widened_replays;
+  const int64_t f = wide_factor(im, b, "Program::replay_widened");
   im.max_widen_batch = std::max(im.max_widen_batch, b);
-  run_health_check(im, ctx.buf.data(), ctx.slot_len.data());
+  // Base width: the declared tensors' own payloads are the io buffers.
+  if (f == 1) return replay();
+  Impl::WideContext& ctx = *get_wide_ctx(im, f);
+  // Every width keeps the master's packing, so its buffer hazards, and
+  // with them the master wave schedule, hold unchanged.
+  run_plan(im, ctx.steps, ctx.buf, ctx.scratch, ctx.slot_len.data(),
+           ctx.bplans.data());
+  ++im.widened_replays;
 }
 
 void Program::reset() { impl_->clear_plan(); }
@@ -2313,6 +2271,11 @@ Program::Stats Program::stats() const {
   st.optim_steps = im.adam_params.size() + im.lamb_params.size();
   st.waves = im.waves.size();
   st.wide_instances = im.wide_ctxs.size();
+  st.scratch_bytes = im.scratch.bytes;
+  for (const auto& c : im.wide_ctxs) {
+    st.scratch_bytes = std::max(st.scratch_bytes, c->scratch.bytes);
+    for (const auto& io : c->io) st.wide_bytes += io.size();
+  }
   st.max_widen_batch = im.max_widen_batch;
   st.capture_ms = im.capture_ms;
   st.health_checks = im.health_checks;

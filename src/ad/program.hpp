@@ -1,12 +1,9 @@
 // Compiled tape programs: capture one eager step, replay it allocation-
 // and dispatch-free.
 //
-// PR 3 made tape *construction* allocation-free, but every training step
-// still re-recorded and re-walked an identical autodiff graph: per-step
-// cost was dominated by node recording, shared_ptr traffic and virtual
-// backward dispatch rather than FLOPs. `Program` removes all of it for
-// steady-state loops with fixed shapes (the Schwarz iteration and the
-// three-backward-pass PDE training step):
+// Steady-state loops with fixed shapes (the Schwarz iteration, the
+// three-backward-pass PDE training step) skip node recording, shared_ptr
+// traffic and virtual backward dispatch entirely:
 //
 //   capture(fn)  — runs `fn` eagerly on the calling thread while recording
 //                  every executed tensor kernel (forward ops, the engine's
@@ -18,10 +15,9 @@
 //   (lowering)   — at capture end the plan is lowered: the recorded
 //                  autodiff graph is released (the arena rewinds), buffers
 //                  that nothing outside the program references are
-//                  liveness-packed onto a reused internal arena (two
-//                  intermediates whose live ranges do not overlap share
-//                  storage), and every operand is resolved to a raw
-//                  `real*`.
+//                  liveness-packed (two intermediates whose live ranges
+//                  do not overlap share one buffer; see Memory below),
+//                  and every operand is resolved to a raw `real*`.
 //   replay()     — re-executes the plan: a switch over typed kernel steps
 //                  on raw buffers. No tensor construction, no node
 //                  recording, no shared_ptr traffic, no virtual dispatch,
@@ -46,7 +42,7 @@
 // expression in one pass over the buffer. Every element still goes
 // through the identical sfn:: functors in the identical order, so fused
 // replay stays bitwise-identical to eager; the skipped intermediates
-// simply never materialize (their slots are dropped from the arena).
+// simply never materialize (their slots drop out of the packing).
 //
 // Optimizer capture: optim::Adam records its update (moment updates, bias
 // correction, weight write) into an enclosing capture via the hooks at
@@ -57,7 +53,7 @@
 //
 // Parallel replay: lowering additionally derives a dependency DAG over
 // the plan's steps — reads/writes are explicit in the typed steps, with
-// hazards tracked on the post-packing *buffers* so arena reuse is
+// hazards tracked on the post-packing *buffers* so buffer reuse is
 // honoured — and partitions it into execution waves. With
 // MF_PLAN_THREADS=N (N > 1) replay executes each wave's steps across a
 // persistent worker pool; scheduling is computed once at capture, never
@@ -79,6 +75,13 @@
 // identical to B0-sized replays of the same instances because every
 // widenable kernel computes each row/element independently.
 //
+// Memory: a program owns only its external payloads and, per widened
+// width, its declared batch io. Every replay at every width lays the
+// packed buffers (each sized for its widest slot at that width) out in
+// one scratch block per thread, shared by all plans and sized to the
+// largest replay the thread has run: internal slots are fully written
+// before they are read, so nothing in the block outlives a replay.
+//
 // Mixed precision: each Program carries a compute dtype
 // (set_compute_dtype, default f64). Under kF32, lowering colors every
 // internal (liveness-packed) slot float while external slots — leaves,
@@ -93,10 +96,9 @@
 // entirely and plans are bitwise identical to before.
 //
 // Escape hatches: MF_DISABLE_PROGRAM=1 (or program_set_enabled(false))
-// makes program_enabled() false; the wired call sites then run eagerly,
-// bit-for-bit like pre-PR-4 code (mirrors MF_DISABLE_POOL / _ARENA).
+// makes program_enabled() false; the wired call sites then run eagerly.
 // MF_DISABLE_FUSION=1 keeps programs on but lowers every elementwise
-// step individually (the PR 4 plans), also bit-for-bit.
+// step individually, bit-for-bit like fused plans.
 // MF_DISABLE_WIDENING=1 makes widen() refuse, so callers keep per-shape
 // captures. MF_DISABLE_PARALLEL_PLAN=1 / MF_PLAN_THREADS control the
 // wave executor as above.
@@ -118,7 +120,9 @@ class Program {
     std::size_t steps = 0;          // typed kernel steps in the plan
     std::size_t slots = 0;          // distinct buffers referenced
     std::size_t external_slots = 0; // slots alive outside the program
-    std::size_t arena_bytes = 0;    // liveness-packed internal storage
+    std::size_t arena_bytes = 0;    // packed internal bytes, base width
+    std::size_t scratch_bytes = 0;  // thread scratch its widest width needs
+    std::size_t wide_bytes = 0;     // io storage owned by wide contexts
     std::size_t pinned_bytes = 0;   // externally visible slot payloads
     std::size_t fused_steps = 0;    // Fused steps in the plan
     std::size_t fused_ops = 0;      // elementwise steps folded into them
@@ -199,8 +203,9 @@ class Program {
   real* widened_buffer(const Tensor& t, int64_t b);
 
   /// Replay the widened plan at batch `b` (positive multiple of B0).
-  /// Requires widened(). Instance contexts are built once per distinct b
-  /// and cached.
+  /// Requires widened(). Instance contexts (scaled steps plus declared io
+  /// buffers) are built once per distinct b and cached; internal slots
+  /// come from the calling thread's scratch block like replay()'s.
   void replay_widened(int64_t b);
 
   Stats stats() const;
@@ -224,7 +229,7 @@ bool program_enabled();
 bool program_set_enabled(bool on);
 
 /// False when MF_DISABLE_FUSION=1: lowering keeps every recorded
-/// elementwise step as its own plan step (the pre-fusion PR 4 plans).
+/// elementwise step as its own plan step.
 /// Checked at capture/lowering time, not at replay.
 bool program_fusion_enabled();
 /// Override the env default (tests / benches). Returns previous value.

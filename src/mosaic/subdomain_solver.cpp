@@ -62,6 +62,8 @@ void fold_stats(ad::Program::Stats& agg, const ad::Program::Stats& s) {
   agg.slots += s.slots;
   agg.external_slots += s.external_slots;
   agg.arena_bytes += s.arena_bytes;
+  agg.scratch_bytes = std::max(agg.scratch_bytes, s.scratch_bytes);
+  agg.wide_bytes += s.wide_bytes;
   agg.pinned_bytes += s.pinned_bytes;
   agg.fused_steps += s.fused_steps;
   agg.fused_ops += s.fused_ops;

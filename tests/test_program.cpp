@@ -883,6 +883,110 @@ TEST(Program, WidenedBatchedInferenceBitwiseMatchesEager) {
   expect_rows_equal(e6, p6);
 }
 
+/// A two-layer MLP plan captured at batch B0 and widened on {x, y}. The
+/// transposed second weight is an internal slot that widening leaves
+/// unscaled, so it shares packed buffers with batch-scaled slots.
+struct WideMlp {
+  Tensor x, w1, b1, w2, y;
+  ad::Program p;
+
+  WideMlp(int64_t B0, int64_t K, int64_t H, util::Rng& rng)
+      : x(Tensor::zeros({B0, K})),
+        w1(Tensor::zeros({K, H})),
+        b1(Tensor::zeros({H})),
+        w2(Tensor::zeros({K, H})) {
+    for (Tensor* t : {&x, &w1, &b1, &w2}) {
+      for (int64_t i = 0; i < t->numel(); ++i) {
+        t->flat(i) = rng.uniform(-1.0, 1.0);
+      }
+    }
+    p.capture([&] { y = forward(x); });
+    EXPECT_TRUE(p.captured());
+    EXPECT_TRUE(p.widen({x, y}));
+  }
+
+  Tensor forward(const Tensor& in) const {
+    return ops::matmul(ops::gelu(ops::add(ops::matmul(in, w1), b1)),
+                       ops::transpose(w2));
+  }
+
+  /// Replay at batch `b` on fresh rows; every output row must equal the
+  /// eager forward pass of its own instance, bit for bit.
+  void check(int64_t b, util::Rng& rng) {
+    const int64_t B0 = x.shape()[0], K = x.shape()[1];
+    std::vector<double> xs(static_cast<std::size_t>(b * K));
+    for (auto& v : xs) v = rng.uniform(-1.0, 1.0);
+    std::copy(xs.begin(), xs.end(), p.widened_buffer(x, b));
+    p.replay_widened(b);
+    const ad::real* yw = p.widened_buffer(y, b);
+    for (int64_t c = 0; c < b / B0; ++c) {
+      const Tensor ref =
+          forward(Tensor::from_data(xs.data() + c * B0 * K, {B0, K}));
+      for (int64_t i = 0; i < ref.numel(); ++i) {
+        ASSERT_EQ(ref.flat(i), yw[c * ref.numel() + i])
+            << "b " << b << " instance " << c << " elem " << i;
+      }
+    }
+  }
+};
+
+TEST(Program, InterleavedWidenedReplaysShareThreadScratch) {
+  // Every replay takes its internal slots from one scratch block per
+  // thread. Two plans of different sizes replayed at interleaved widths
+  // grow that block between a context's creation and its next replay,
+  // and a second thread replays both plans from its own block, so each
+  // context must rebind its internal slots before it runs. Every row
+  // must still equal eager.
+  ProgramEnabledGuard on(true);
+  ad::NoGradGuard no_grad;
+  util::Rng rng(43);
+  WideMlp small(1, 4, 8, rng);
+  WideMlp big(2, 16, 64, rng);
+  small.check(3, rng);   // creates small's factor-3 context
+  big.check(2, rng);     // base width of the larger plan grows the block
+  small.check(3, rng);   // rebinds to the grown block
+  big.check(64, rng);    // factor 32: grows it again
+  small.check(1, rng);
+  small.check(3, rng);
+  big.check(2, rng);
+  std::thread other([&] {
+    util::Rng trng(53);
+    small.check(3, trng);
+    big.check(64, trng);
+    small.check(1, trng);
+  });
+  other.join();
+  small.check(3, rng);
+  big.check(512, rng);   // well past any small-allocation arena
+  small.check(3, rng);
+  big.check(64, rng);
+  big.check(2, rng);
+  EXPECT_EQ(small.p.stats().widened_replays, 6u);
+  EXPECT_EQ(big.p.stats().widened_replays, 4u);
+}
+
+TEST(Program, WidenedContextsOwnOnlyTheirBatchIo) {
+  // Internal slots live in the per-thread scratch block, so a plan
+  // widened to 32 factors owns only its declared io at each width, and
+  // its widest replay, not the sum over its widths, sizes the block.
+  ProgramEnabledGuard on(true);
+  ad::NoGradGuard no_grad;
+  util::Rng rng(47);
+  const int64_t K = 4;
+  WideMlp net(1, K, 16, rng);
+  std::size_t io_bytes = 0;
+  for (int64_t f = 2; f <= 33; ++f) {
+    net.check(f, rng);
+    io_bytes += static_cast<std::size_t>(f * 2 * K) * sizeof(double);
+  }
+  const auto st = net.p.stats();
+  EXPECT_EQ(st.wide_instances, 32u);
+  EXPECT_EQ(st.wide_bytes, io_bytes);
+  EXPECT_GT(st.arena_bytes, 0u);
+  EXPECT_GE(st.scratch_bytes, st.arena_bytes);
+  EXPECT_LE(st.scratch_bytes, 33 * st.arena_bytes + 64 * st.slots);
+}
+
 TEST(Program, ConcurrentCompiledStepsAreDeterministic) {
   // N threads, each with its own identically-seeded net + compiled step,
   // all replaying through the shared worker pool concurrently: every
